@@ -5,9 +5,12 @@
  * and the whole-GPU cycle loop. Useful for tracking simulator
  * performance regressions; not a paper figure.
  */
+#include <algorithm>
+
 #include <benchmark/benchmark.h>
 
 #include "common/config.hpp"
+#include "common/rng.hpp"
 #include "interconnect/crossbar.hpp"
 #include "mem/address_map.hpp"
 #include "mem/cache.hpp"
@@ -82,6 +85,42 @@ BM_DramChannelStreaming(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DramChannelStreaming);
+
+/**
+ * Two applications keep the FR-FCFS queue near full with requests to
+ * random banks and rows: the contended case online runs hit, where a
+ * scheduling decision has many queued commands to choose among (the
+ * streaming case above finds its row hit at the queue's front).
+ */
+void
+BM_DramChannelContended(benchmark::State &state)
+{
+    const GpuConfig cfg = benchConfig(2);
+    DramChannel dram(cfg, 2);
+    Rng rng(42);
+    MemRequest req;
+    DramCoord coord;
+    for (auto _ : state) {
+        if (!dram.queueFull()) {
+            req.app = static_cast<AppId>(rng.nextBounded(2));
+            coord.bank = static_cast<std::uint32_t>(
+                rng.nextBounded(cfg.banksPerChannel));
+            coord.row = rng.nextBounded(8);
+            coord.col = static_cast<std::uint32_t>(rng.nextBounded(16));
+            dram.enqueue(req, coord);
+        }
+        DramCompletion done;
+        benchmark::DoNotOptimize(dram.tick(done));
+    }
+    state.SetItemsProcessed(state.iterations());
+    state.counters["queue_depth"] =
+        static_cast<double>(dram.queueDepth());
+    state.counters["row_hit_frac"] =
+        static_cast<double>(dram.rowHits()) /
+        static_cast<double>(std::max<std::uint64_t>(
+            1, dram.requestsServiced()));
+}
+BENCHMARK(BM_DramChannelContended);
 
 void
 BM_CrossbarTick(benchmark::State &state)

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <utility>
 #include <vector>
 
 #include "common/config.hpp"
@@ -59,8 +58,6 @@ struct RunResult
     Cycle measuredCycles = 0;
     TlpCombo finalTlp;             ///< Combination in force at the end.
     std::uint32_t samplesTaken = 0;///< Search overhead (policies).
-    /** TLP changes over time (online policies; paper Fig. 11). */
-    std::vector<std::pair<Cycle, TlpCombo>> tlpTimeline;
 
     /** Per-app effective bandwidths. */
     std::vector<double>

@@ -3,12 +3,19 @@
  * A GDDR5-like DRAM channel with banked timing and an FR-FCFS
  * (first-ready, first-come-first-served) memory controller.
  *
- * The controller scans its request queue each DRAM command cycle and
- * prioritizes (1) column accesses to already-open rows (row hits),
- * then (2) the oldest request. Bank state machines enforce
- * tRCD/tRP/tRAS/tCCD/tRRD constraints; the shared data bus serializes
- * bursts. Per-application useful-data-cycle counters provide the
- * attained-bandwidth half of the paper's EB metric.
+ * Each DRAM command cycle the controller issues (1) the oldest
+ * column access to an already-open row (a row hit), else (2) the
+ * oldest activate, else (3) the oldest precharge. Bank state machines
+ * enforce tRCD/tRP/tRAS/tCCD/tRRD constraints; the shared data bus
+ * serializes bursts. Per-application useful-data-cycle counters
+ * provide the attained-bandwidth half of the paper's EB metric.
+ *
+ * The queue is indexed by bank: every command on one bank faces the
+ * same timing thresholds, so a decision is a minimum, by arrival
+ * sequence, over at most one candidate per bank. A per-bank count of
+ * queued row hits (and a mask of the banks where it is non-zero)
+ * lets the row-hit pass visit only banks that have one, so a
+ * decision costs O(banks) rather than O(queued commands).
  */
 #pragma once
 
@@ -58,7 +65,7 @@ class DramChannel
     DramChannel(const GpuConfig &cfg, std::uint32_t num_apps);
 
     /** Can another request be accepted this cycle? */
-    bool queueFull() const { return queue_.size() >= queueCap_; }
+    bool queueFull() const { return free_.empty(); }
 
     /** Enqueue a request (caller must check queueFull()). */
     void enqueue(const MemRequest &req, const DramCoord &coord);
@@ -83,7 +90,7 @@ class DramChannel
     Cycle now() const { return now_; }
 
     /** Requests currently queued (for utilization heuristics). */
-    std::size_t queueDepth() const { return queue_.size(); }
+    std::size_t queueDepth() const { return queueCap_ - free_.size(); }
 
     // --- Statistics --------------------------------------------------
 
@@ -142,9 +149,39 @@ class DramChannel
     void restore(const Snapshot &snap);
 
   private:
+    /** Index of a pool_ entry. */
+    using Slot = std::uint32_t;
+
+    /** A pool entry: one queued command and its arrival order. */
+    struct Entry
+    {
+        DramCommand cmd;
+        std::uint64_t seq = 0; ///< Arrival sequence number (FCFS age).
+    };
+
+    /** @p bank's queued slots, oldest first (bankLen_[bank] used). */
+    Slot *bankOrder(std::uint32_t bank)
+    {
+        return &bankOrder_[std::size_t{bank} * queueCap_];
+    }
+    const Slot *bankOrder(std::uint32_t bank) const
+    {
+        return &bankOrder_[std::size_t{bank} * queueCap_];
+    }
+
+    /** Add @p cmd to the queue as its youngest command. */
+    void insert(const DramCommand &cmd);
+    /** Recount @p bank's queued commands to its open row. */
+    void recountHits(std::uint32_t bank);
+    /** Empty the queue (bank state is left alone). */
+    void clearQueue();
+    /** The oldest queued command's slot (queue must be non-empty). */
+    Slot oldestSlot() const;
+
     const DramTiming timing_;
     const std::uint32_t banksPerGroup_;
     const std::uint32_t capCycles_; ///< FR-FCFS starvation cap.
+    const std::size_t queueCap_;
     Cycle now_ = 0;
     Cycle busFreeAt_ = 0;       ///< Data bus occupied until this cycle.
     Cycle lastActivateAt_ = 0;  ///< For the tRRD constraint.
@@ -152,18 +189,28 @@ class DramChannel
     /** Last column access per bank group, for tCCDl vs tCCDs. */
     std::vector<Cycle> lastColumnInGroup_;
     /**
-     * The FR-FCFS request queue, age-ordered front to back. A flat
-     * vector (capacity reserved once, bounded by queueCap_) so the
-     * controller's per-cycle priority scans run over contiguous
-     * memory; mid-queue removal shifts, preserving age order.
+     * The FR-FCFS queue, indexed by bank. Commands live in a fixed
+     * pool of queueCap_ entries (free_ lists the unused ones). Each
+     * bank keeps its slots in age order in its own queueCap_-wide row
+     * of bankOrder_. nonEmpty_ has a bit per bank with queued
+     * commands; hitCount_ counts a bank's queued commands to its open
+     * row, and hitMask_ has a bit per bank where that count is
+     * non-zero. Activates recount, precharges zero the count.
      */
-    std::vector<DramCommand> queue_;
-    std::size_t queueCap_;
+    std::vector<Entry> pool_;
+    std::vector<Slot> free_;
+    std::vector<Slot> bankOrder_;
+    std::vector<std::uint32_t> bankLen_;
+    std::vector<std::uint32_t> hitCount_;
+    std::uint64_t nonEmpty_ = 0;
+    std::uint64_t hitMask_ = 0;
+    std::uint64_t nextSeq_ = 0;
+    Slot front_ = 0; ///< The oldest queued command, if any.
     /**
      * No command can become issuable before this cycle (set by a scan
      * that found nothing; cleared on enqueue and on every issue).
-     * Lets the controller skip the O(queue) priority scans while all
-     * commands sit out fixed timing constraints.
+     * Lets the controller skip its priority scans while all commands
+     * sit out fixed timing constraints.
      */
     Cycle scanSkipUntil_ = 0;
 
