@@ -18,6 +18,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
@@ -242,9 +243,9 @@ BM_CacheOpen(benchmark::State &state)
 }
 BENCHMARK(BM_CacheOpen)->Unit(benchmark::kMicrosecond);
 
-/** Remove a claim directory and its markers (flat, no subdirs). */
+/** Remove a flat directory and its files. */
 void
-removeClaimDir(const std::string &dir)
+removeFlatDir(const std::string &dir)
 {
     if (DIR *d = ::opendir(dir.c_str())) {
         while (struct dirent *e = ::readdir(d)) {
@@ -258,74 +259,19 @@ removeClaimDir(const std::string &dir)
 }
 
 /**
- * Cross-process cold sweep: range(0) cooperating processes share one
- * store under EBM_SWEEP_SHARD=1, splitting the 64 simulations via the
- * claim protocol instead of each running all of them. Wall clock is
- * the parent's fork-to-last-exit span; at N processes the aggregate
- * simulation work stays ~64 rows, so the span approaches the
- * single-process time divided by the usable core count (on a loaded
- * or single-core host, the win shows up as work-sharing: the per-
- * process simulated count drops to ~64/N).
+ * The supervised cooperative cold fill: range(0) workers, forked and
+ * reaped by SweepSupervisor with heartbeat files armed, lease rows
+ * from an in-process Coordinator over one store (each worker keeps a
+ * private scratch store). No faults are injected, so the delta
+ * against BM_SweepDistributed/range(0)/1 is the pure supervision
+ * overhead — fork bookkeeping, the poll/reap loop, and per-slot
+ * heartbeat touches — that a crash-consistent fill pays on the happy
+ * path.
  *
- * Forking happens before any worker threads exist in the parent
- * (children use EBM_JOBS=1), so no lock is ever cloned while held.
- */
-void
-BM_SweepMultiProcess(benchmark::State &state)
-{
-    const int procs = static_cast<int>(state.range(0));
-    const std::string path = "bench_sweep_mp.cache";
-    ::setenv("EBM_SWEEP_SHARD", "1", 1);
-
-    for (auto _ : state) {
-        state.PauseTiming();
-        std::remove(path.c_str());
-        removeClaimDir(path + ".claims");
-        state.ResumeTiming();
-
-        std::vector<pid_t> kids;
-        for (int c = 0; c < procs; ++c) {
-            const pid_t pid = ::fork();
-            if (pid == 0) {
-                {
-                    Runner runner(benchConfig(), benchOptions());
-                    DiskCache cache(path);
-                    Exhaustive ex(runner, cache);
-                    ex.setJobs(1);
-                    ex.sweep(makePair("BFS", "FFT"));
-                }
-                ::_exit(0);
-            }
-            kids.push_back(pid);
-        }
-        for (const pid_t pid : kids) {
-            int status = 0;
-            ::waitpid(pid, &status, 0);
-            if (!WIFEXITED(status) || WEXITSTATUS(status) != 0)
-                state.SkipWithError("sharded child failed");
-        }
-    }
-    state.SetLabel("procs=" + std::to_string(procs));
-
-    ::unsetenv("EBM_SWEEP_SHARD");
-    std::remove(path.c_str());
-    removeClaimDir(path + ".claims");
-}
-BENCHMARK(BM_SweepMultiProcess)
-    ->Arg(1)
-    ->Arg(2)
-    ->Arg(4)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime()
-    ->Iterations(1);
-
-/**
- * The supervised variant of the cross-process cold fill: the same N
- * cooperating workers, but forked and reaped by SweepSupervisor with
- * heartbeat files armed. No faults are injected, so the delta against
- * BM_SweepMultiProcess/N is the pure supervision overhead — fork
- * bookkeeping, the poll/reap loop, and per-slot heartbeat touches —
- * that a crash-consistent sweep pays on the happy path.
+ * The supervisor runs in a child process of its own, forked after the
+ * Coordinator is bind()ed and before it is start()ed, so no fork ever
+ * clones a running coordinator thread. Its exit code carries the
+ * restart count (255 = a slot exhausted its budget).
  */
 void
 BM_SweepSupervised(benchmark::State &state)
@@ -333,40 +279,63 @@ BM_SweepSupervised(benchmark::State &state)
     const std::uint32_t procs =
         static_cast<std::uint32_t>(state.range(0));
     const std::string path = "bench_sweep_sup.cache";
-    ::setenv("EBM_SWEEP_SHARD", "1", 1);
+    const auto worker_path = [&](std::uint32_t slot) {
+        return "bench_sweep_sup_w" + std::to_string(slot) + ".cache";
+    };
+    const auto remove_all = [&] {
+        std::remove(path.c_str());
+        for (std::uint32_t s = 0; s < procs; ++s)
+            std::remove(worker_path(s).c_str());
+        removeFlatDir(path + ".hb");
+    };
 
     std::uint64_t restarts = 0;
     for (auto _ : state) {
         state.PauseTiming();
-        std::remove(path.c_str());
-        removeClaimDir(path + ".claims");
-        removeClaimDir(path + ".hb");
+        remove_all();
         state.ResumeTiming();
 
-        SweepSupervisor::Options o;
-        o.workers = procs;
-        o.heartbeatDir = path + ".hb";
-        SweepSupervisor sup(o);
-        const SweepSupervisor::Report report =
-            sup.run([&path](std::uint32_t, std::uint32_t) {
-                Runner runner(benchConfig(), benchOptions());
-                DiskCache cache(path);
-                Exhaustive ex(runner, cache);
-                ex.setJobs(1);
-                ex.sweep(makePair("BFS", "FFT"));
-                return 0;
-            });
-        if (!report.allSucceeded)
+        DiskCache store(path);
+        Coordinator coordinator(store, Coordinator::Options{});
+        if (!coordinator.bind().ok()) {
+            state.SkipWithError("coordinator bind failed");
+            break;
+        }
+        const pid_t supervisor = ::fork();
+        if (supervisor == 0) {
+            SweepSupervisor::Options o;
+            o.workers = procs;
+            o.heartbeatDir = path + ".hb";
+            o.coordinator = coordinator.address();
+            SweepSupervisor sup(o);
+            const SweepSupervisor::Report report =
+                sup.run([&](std::uint32_t slot, std::uint32_t) {
+                    Runner runner(benchConfig(), benchOptions());
+                    DiskCache cache(worker_path(slot));
+                    Exhaustive ex(runner, cache);
+                    ex.setJobs(1);
+                    ex.sweep(makePair("BFS", "FFT"));
+                    return 0;
+                });
+            ::_exit(report.allSucceeded
+                        ? static_cast<int>(
+                              std::min(report.totalRestarts, 254u))
+                        : 255);
+        }
+        if (!coordinator.start().ok())
+            state.SkipWithError("coordinator start failed");
+        int status = 0;
+        ::waitpid(supervisor, &status, 0);
+        coordinator.stop();
+        if (!WIFEXITED(status) || WEXITSTATUS(status) == 255)
             state.SkipWithError("supervised worker failed");
-        restarts += report.totalRestarts;
+        else
+            restarts += static_cast<std::uint64_t>(WEXITSTATUS(status));
     }
     state.SetLabel("workers=" + std::to_string(procs));
     state.counters["restarts"] = static_cast<double>(restarts);
 
-    ::unsetenv("EBM_SWEEP_SHARD");
-    std::remove(path.c_str());
-    removeClaimDir(path + ".claims");
-    removeClaimDir(path + ".hb");
+    remove_all();
 }
 BENCHMARK(BM_SweepSupervised)
     ->Arg(2)

@@ -1,9 +1,9 @@
 /**
  * @file
- * `ebm_coordinator`: the lease/record server of the distributed sweep
- * fabric (DESIGN.md §8.6). Owns one v3 result store and hands out row
- * leases over TCP; ebm_sweep_worker processes stream CRC-framed v3
- * records back, which this daemon group-commits through its own
+ * `ebm_coordinator`: the lease/record server through which worker
+ * processes split a cold fill (DESIGN.md §8.3). Owns one v3 result
+ * store and hands out row leases over TCP; workers stream CRC-framed
+ * v3 records back, which this daemon group-commits through its own
  * DiskCache writer — so the compacted store is byte-identical to a
  * serial fill no matter how many workers (or worker crashes)
  * contributed.
@@ -15,13 +15,16 @@
  *   --cache FILE   result store (default: DiskCache::defaultPath())
  *   --host ADDR    numeric bind address (default 127.0.0.1)
  *   --port N       TCP port; 0 = kernel-assigned, printed at startup
- *   --stale-ms N   lease staleness window (default EBM_CLAIM_STALE_MS)
+ *   --stale-ms N   lease staleness window in ms (default 10000); workers
+ *                  learn it at HELLO and heartbeat every quarter of it
  *   --compact      compact the store on shutdown (canonical bytes)
  *   --no-remote-shutdown  ignore the SHUTDOWN verb (Ctrl-C only)
  *
- * Point workers at the printed address:
+ * Point workers at the printed address — ebm_sweep_worker, or any
+ * figure binary that should share the fill:
  *
  *   EBM_COORDINATOR=127.0.0.1:7733 ebm_sweep_worker --pair BFS FFT
+ *   EBM_COORDINATOR=127.0.0.1:7733 ./build/bench/fig01_motivation
  */
 #include <atomic>
 #include <chrono>
@@ -31,6 +34,7 @@
 #include <string>
 #include <thread>
 
+#include "common/config.hpp"
 #include "common/log.hpp"
 #include "harness/coordinator.hpp"
 #include "harness/disk_cache.hpp"
@@ -56,8 +60,11 @@ main(int argc, char **argv)
                 opts.port = static_cast<std::uint16_t>(
                     std::strtoul(argv[++i], nullptr, 10));
             } else if (arg == "--stale-ms" && i + 1 < argc) {
-                opts.staleThreshold = std::chrono::milliseconds(
-                    std::strtoll(argv[++i], nullptr, 10));
+                std::uint64_t ms = 0;
+                if (!parseUint(argv[++i], ms) || ms == 0)
+                    fatal(Error{Errc::InvalidArgument,
+                                "--stale-ms wants a positive integer"});
+                opts.staleThreshold = std::chrono::milliseconds(ms);
             } else if (arg == "--compact") {
                 compact_on_exit = true;
             } else if (arg == "--no-remote-shutdown") {

@@ -16,10 +16,10 @@
  *     cold pair dispatch exactly one simulation) and enqueued to a
  *     background fill thread that drives the ordinary
  *     `ProfileDb::profile` + `Exhaustive::sweep` machinery, JobPool
- *     parallelism, disk persistence, shard claims and all — so a
- *     co-resident sweep worker (EBM_SWEEP_SHARD=1) and the daemon
- *     never double-simulate a row. The caller gets a ticket to poll,
- *     or blocks on the fill up to a deadline.
+ *     parallelism, disk persistence, coordinator leases and all — so
+ *     with EBM_COORDINATOR set, the daemon and concurrent sweep
+ *     workers never double-simulate a row. The caller gets a ticket
+ *     to poll, or blocks on the fill up to a deadline.
  *
  * AdvisorServer wraps the service in a Unix-domain-socket front door
  * speaking the CRC-framed text protocol of serve_protocol.hpp.

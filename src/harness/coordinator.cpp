@@ -6,7 +6,6 @@
 #include "common/log.hpp"
 #include "common/wire.hpp"
 #include "harness/disk_cache.hpp"
-#include "harness/shard_claim.hpp"
 #include "harness/store_format.hpp"
 #include "workload/app_catalog.hpp"
 
@@ -70,14 +69,6 @@ Coordinator::Coordinator(DiskCache &cache, Options options)
 }
 
 Coordinator::~Coordinator() { stop(); }
-
-std::chrono::milliseconds
-Coordinator::staleThreshold() const
-{
-    return options_.staleThreshold.count() > 0
-               ? options_.staleThreshold
-               : ShardClaims::staleThreshold();
-}
 
 Status
 Coordinator::bind()
@@ -280,10 +271,9 @@ Coordinator::handle(const std::string &payload, std::uint64_t conn_id)
         if (!epochAndKey(payload, 3, epoch, key))
             return "ERROR bad-request";
         // Sync before dropping the lease: peers read "lease gone" as
-        // "result durable", the same contract release() has against
-        // claim files. The sync runs outside the lease mutex (it can
-        // block on the writer); a fenced releaser pays for a spurious
-        // sync, which is harmless.
+        // "result durable". The sync runs outside the lease mutex (it
+        // can block on the writer); a fenced releaser pays for a
+        // spurious sync, which is harmless.
         cache_.sync();
         return validateEpoch(key, epoch, true) ? "OK" : "FENCED";
     }
@@ -360,13 +350,12 @@ Coordinator::handleAcquire(const std::string &key,
                 return "SKIP";
             }
             // Expired marker from an old sweep: drop it so the row is
-            // retried, matching the filesystem skip-marker policy.
+            // retried (a failure is never persisted).
             skips_.erase(skip);
         }
         if (leases_.count(key) != 0) {
             // Someone holds it — even a stale holder: waiters go
-            // through PEEK/BREAK, exactly like claim files where
-            // O_EXCL fails until the stale claim is broken.
+            // through PEEK/BREAK, so only one of them takes it over.
             std::lock_guard<std::mutex> slk(statsMu_);
             ++counters_.acquiresDenied;
             return "HELD";
@@ -379,8 +368,7 @@ Coordinator::handleAcquire(const std::string &key,
         ++counters_.acquiresGranted;
     }
     // Epochs past the first mean the row changed hands at some point:
-    // echo into the store header (cleared again by compact()), the
-    // same bookkeeping the filesystem protocol does worker-side.
+    // echo into the store header (cleared again by compact()).
     if (epoch > 1)
         cache_.noteFencingEpoch(epoch);
     return "OK " + std::to_string(epoch);

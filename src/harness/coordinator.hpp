@@ -1,14 +1,14 @@
 /**
  * @file
- * The sweep coordinator: the network half of the distributed sweep
- * fabric (DESIGN.md §8.6). One Coordinator owns a v3 result store and
- * hands out row leases over TCP; ebm_sweep_worker processes
- * (EBM_COORDINATOR=host:port, harness/lease_net.hpp) run the ordinary
+ * The sweep coordinator: the one mechanism by which several worker
+ * processes split a cold fill (DESIGN.md §8.3). One Coordinator owns
+ * a v3 result store and hands out row leases over TCP; workers
+ * (ebm_sweep_worker, or any figure binary with
+ * EBM_COORDINATOR=host:port, harness/lease_net.hpp) run the ordinary
  * dispatch loop against leased rows and stream CRC-framed v3 records
  * back, which the coordinator group-commits through its own DiskCache
- * writer — so `compact()` byte-identity stays the merge invariant
- * across machines exactly as it is across processes on one
- * filesystem.
+ * writer — so `compact()` byte-identity is the merge invariant,
+ * whether the workers share a host (a localhost coordinator) or not.
  *
  * Protocol: EBS1 frames (common/wire.hpp), one request/response pair
  * per frame. Text verbs, with the record stream carrying raw storefmt
@@ -26,17 +26,19 @@
  *   PING / STATS / SHUTDOWN -> OK ...
  *
  * Fencing over TCP: the coordinator is the single authority for
- * per-key epochs (replacing the durable `<keyfp>.epoch` sidecars),
- * heartbeats are RPCs timestamped on the coordinator's clock, and
- * staleness is judged against the same EBM_CLAIM_STALE_MS window the
- * filesystem protocol uses. A connection that drops — worker killed,
- * crashed mid-record-stream, network gone — orphans its leases
- * immediately: peers see STALE without waiting out the window, BREAK
- * reassigns the row under a bumped epoch, and the dead owner's
- * epoch-carrying verbs are refused (FENCED) if it ever resurfaces. A
- * record cut off mid-stream never reaches the store at all: the wire
- * frame doesn't reassemble, so unlike a torn file append there is no
- * tail to truncate.
+ * per-key epochs, heartbeats are RPCs timestamped on the
+ * coordinator's clock, and staleness is judged against the
+ * coordinator's window (Options::staleThreshold), which HELLO reports
+ * so every worker paces its heartbeats to it. Takeover epochs past 1
+ * are echoed into the store header (DiskCache::noteFencingEpoch) until
+ * compaction renders the store canonical. A connection that drops —
+ * worker killed, crashed mid-record-stream, network gone — orphans
+ * its leases immediately: peers see STALE without waiting out the
+ * window, BREAK reassigns the row under a bumped epoch, and the dead
+ * owner's epoch-carrying verbs are refused (FENCED) if it ever
+ * resurfaces. A record cut off mid-stream never reaches the store at
+ * all: the wire frame doesn't reassemble, so unlike a torn file
+ * append there is no tail to truncate.
  *
  * Lease RPC service time is recorded in a LatencyHistogram
  * (common/stats.hpp) and surfaced through STATS and stats() — the
@@ -67,14 +69,20 @@ class DiskCache;
 class Coordinator
 {
   public:
+    /** Lease staleness window unless Options::staleThreshold (the
+     * daemon's --stale-ms) overrides it. */
+    static constexpr std::chrono::milliseconds kDefaultStaleThreshold{
+        10000};
+
     struct Options
     {
         /** Numeric IPv4 bind address (empty = all interfaces). */
         std::string host = "127.0.0.1";
         /** 0 = kernel-assigned ephemeral; read back with port(). */
         std::uint16_t port = 0;
-        /** Lease staleness window; zero = EBM_CLAIM_STALE_MS. */
-        std::chrono::milliseconds staleThreshold{0};
+        /** Lease staleness window (HELLO reports it to workers). */
+        std::chrono::milliseconds staleThreshold =
+            kDefaultStaleThreshold;
         /** Honor the SHUTDOWN verb (daemon mode). */
         bool allowRemoteShutdown = false;
     };
@@ -137,8 +145,11 @@ class Coordinator
     /** Block until SHUTDOWN or stop(). */
     void waitForShutdown();
 
-    /** The staleness window in force (options or env). */
-    std::chrono::milliseconds staleThreshold() const;
+    /** The staleness window in force. */
+    std::chrono::milliseconds staleThreshold() const
+    {
+        return options_.staleThreshold;
+    }
 
   private:
     struct Lease
@@ -186,8 +197,7 @@ class Coordinator
 
     mutable std::mutex leaseMu_;
     std::unordered_map<std::string, Lease> leases_;
-    /** Per-key monotonic epoch counters (the coordinator-lifetime
-     * analogue of the `<keyfp>.epoch` sidecars). */
+    /** Per-key monotonic fencing epochs (coordinator lifetime). */
     std::unordered_map<std::string, std::uint64_t> epochs_;
     std::unordered_map<std::string,
                        std::chrono::steady_clock::time_point>

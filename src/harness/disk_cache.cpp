@@ -18,7 +18,6 @@
 #include "common/config.hpp"
 #include "common/log.hpp"
 #include "common/rng.hpp"
-#include "harness/shard_claim.hpp"
 #include "harness/store_format.hpp"
 #include "workload/app_catalog.hpp"
 
@@ -192,6 +191,12 @@ DiskCache::load()
     // permission bits don't apply, e.g. running as root).
     const bool forced_ro = envFlag("EBM_CACHE_READONLY", false);
     int fd = forced_ro ? -1 : ::open(path_.c_str(), O_RDWR);
+    // Missing file: an empty, writable cache — even when a peer
+    // creates the store before the read-only fallback below could
+    // open it, which would wrongly degrade this instance to refusing
+    // every append.
+    if (fd < 0 && !forced_ro && errno == ENOENT)
+        return;
     const bool writable = fd >= 0;
     if (!writable)
         fd = ::open(path_.c_str(), O_RDONLY);
@@ -277,8 +282,8 @@ DiskCache::load()
     const std::uint32_t fmt = header.formatVersion;
     const std::uint32_t cat = header.catalogVersion;
     const std::string &fingerprint = header.fingerprint;
-    // A nonzero epoch marks appends made under claim takeovers (the
-    // fencing protocol in shard_claim.hpp); reported, not validated.
+    // A nonzero epoch marks appends made under lease takeovers (the
+    // fencing protocol in coordinator.hpp); reported, not validated.
     loadReport_.fencingEpoch = header.fencingEpoch;
     fencingEpoch_.store(header.fencingEpoch, std::memory_order_relaxed);
     if (fmt != storefmt::kFormatVersionV3 ||
@@ -418,7 +423,7 @@ DiskCache::loadText(const std::vector<char> &buffer)
              path_ + "; quarantining the damaged file and recomputing "
                      "the lost results");
         quarantineAndRewrite();
-    } else if (persistCompacted()) {
+    } else if (compact()) {
         inform("DiskCache: migrated " + path_ + " from " +
                (loadReport_.migratedV1 ? "v1 text" : "v2 text") +
                " to the v3 binary format");
@@ -607,11 +612,11 @@ DiskCache::quarantineAndRewrite()
     // Re-persist whatever survived so the next open is clean even if
     // no further put() happens.
     if (size() != 0 || loadReport_.quarantined)
-        persistCompacted();
+        compact();
 }
 
 bool
-DiskCache::persistCompacted()
+DiskCache::compact()
 {
     if (readOnly_) {
         warn("DiskCache: " + path_ +
@@ -687,20 +692,6 @@ DiskCache::writeCompacted(const EntryMap &snapshot)
     std::lock_guard<std::mutex> lk(persistMu_);
     loadReport_.bytesWritten += buf.size();
     return true;
-}
-
-bool
-DiskCache::compact()
-{
-    // Compaction renders the store canonical again; the claim dir's
-    // leftover fencing counters from finished rows go with it (a
-    // sidecar under a live claim is kept — see sweepOrphanedEpochs).
-    const std::size_t swept = sweepOrphanedEpochs(path_);
-    if (swept > 0) {
-        warn("DiskCache: swept " + std::to_string(swept) +
-             " orphaned epoch sidecar(s) for " + path_);
-    }
-    return persistCompacted();
 }
 
 std::size_t
@@ -781,13 +772,13 @@ DiskCache::appendBatch(const std::vector<Entry> &batch)
             }
             if (ready) {
                 // Echo the max fencing epoch this process appended
-                // under into the header (shard_claim.hpp), while the
+                // under into the header (coordinator.hpp), while the
                 // exclusive flock serializes the read-modify-write.
                 // Raw pwrite, not the shim: metadata only — a torn
                 // epoch field degrades reporting, never frames — and
                 // keeping it off the injection stream keeps seeded
-                // frame-fault schedules stable. Zero epochs (every
-                // unsharded run) never touch the field, so clean-run
+                // frame-fault schedules stable. Zero epochs (every run
+                // without a takeover) never touch the field, so clean-run
                 // bytes are unchanged.
                 const std::uint64_t epoch =
                     fencingEpoch_.load(std::memory_order_relaxed);
@@ -927,7 +918,7 @@ DiskCache::tryPut(const std::string &key,
     if (readOnly_) {
         // Degraded mode: the in-memory view stays warm (the insert
         // above) but no append is attempted, so callers that require
-        // durability can tell and refuse to release sweep claims.
+        // durability can tell and refuse to release sweep leases.
         std::lock_guard<std::mutex> lk(persistMu_);
         ++persistFailures_;
         return Status(Error{Errc::CacheIo,

@@ -38,8 +38,7 @@
  *
  * Cross-process sharing: writers from different processes interleave
  * appends safely under `flock`, and `refresh()` folds frames appended
- * by other processes since the last scan into memory — the read side
- * of the sweep shard-claim protocol (harness/shard_claim.hpp).
+ * by other processes since the last scan into memory.
  *
  * Thread safety: all public operations may be called concurrently.
  * The in-memory map is sharded by key hash (one mutex per shard); the
@@ -79,7 +78,7 @@ class DiskCache
         bool tornTailTruncated = false;  ///< Tail chopped to last frame.
         bool readOnlyMode = false;       ///< Serving without appends.
         /** Max fencing epoch stamped into the header by appenders
-         * (shard_claim.hpp); 0 in clean/compacted stores. */
+         * (coordinator.hpp); 0 in clean/compacted stores. */
         std::uint64_t fencingEpoch = 0;
         std::string quarantinePath;
 
@@ -145,9 +144,9 @@ class DiskCache
     bool readOnly() const { return readOnly_; }
 
     /**
-     * Record the caller's fencing epoch (shard_claim.hpp): the max is
+     * Record a lease's fencing epoch (coordinator.hpp): the max is
      * echoed into the store header's epoch field by subsequent
-     * appends, so a store written under claim takeovers is
+     * appends, so a store written under lease takeovers is
      * distinguishable from a clean one until compact() (which always
      * stamps 0, keeping compacted bytes canonical).
      */
@@ -157,16 +156,16 @@ class DiskCache
      * Block until every entry enqueued by put() before this call is
      * durably appended (or its batch has failed and been counted).
      * Group commit lets put() return as soon as the active writer is
-     * bound to cover its entry; cross-process coordination
-     * (harness/shard_claim.hpp) must sync() before releasing a row's
-     * claim, because peers read "claim gone" as "result durable".
+     * bound to cover its entry; the coordinator (coordinator.hpp)
+     * must sync() before releasing a row's lease, because peers read
+     * "lease gone" as "result durable".
      */
     void sync();
 
     /**
      * Scan frames appended to the file since the last scan (by this
      * or any other process) and fold them into memory, later frames
-     * winning. The read side of cross-process sweep sharding.
+     * winning.
      *
      * @return entries merged from the newly scanned region
      */
@@ -179,7 +178,8 @@ class DiskCache
      * history, thread count, or process count. Offline means no
      * *other process* may be appending concurrently (same-process
      * put()s serialize against it); the compacting process's own
-     * in-memory view is authoritative.
+     * in-memory view is authoritative. Migration and quarantine
+     * recovery rewrite the store through the same path.
      */
     bool compact();
 
@@ -284,8 +284,6 @@ class DiskCache
     void quarantineAndRewrite();
     /** All shards merged (for compaction snapshots and rewrites). */
     EntryMap gatherAll() const;
-    /** Full sorted rewrite (migration, quarantine recovery, compact). */
-    bool persistCompacted();
     bool writeCompacted(const EntryMap &snapshot);
     /** Append one group-commit batch under flock; updates counters. */
     bool appendBatch(const std::vector<Entry> &batch);

@@ -12,8 +12,8 @@
 #include "common/job_pool.hpp"
 #include "common/log.hpp"
 #include "harness/cost_model.hpp"
-#include "harness/lease_provider.hpp"
-#include "harness/shard_claim.hpp"
+#include "harness/lease_net.hpp"
+#include "harness/sweep_supervisor.hpp"
 #include "metrics/metrics.hpp"
 #include "workload/app_catalog.hpp"
 
@@ -150,10 +150,10 @@ struct SweepTask
     /** Leading attempts the pre-drawn fault schedule fails. */
     std::uint32_t injectedFails = 0;
     /** Pre-drawn whole-process crash points (chaos tests): die while
-     * holding the claim / after the durable put, pre-release. */
+     * holding the lease / after the durable put, pre-release. */
     std::uint32_t crashClaimHeld = 0;
     std::uint32_t crashPostPut = 0;
-    /** 1 = another process claimed the row; wait for its result. */
+    /** 1 = another process leased the row; wait for its result. */
     std::uint32_t deferred = 0;
     /** Outcome, merged into SweepStatus after the pool drains. */
     std::uint32_t simulated = 0;
@@ -187,14 +187,11 @@ Exhaustive::sweep(const Workload &wl, std::vector<std::uint32_t> levels)
         return decodeComboRow(v, combo, n);
     };
 
-    // Cross-process sharding: rows are claimed at dispatch through a
-    // LeaseProvider, so N cooperating workers split a cold sweep
-    // instead of each simulating all of it. EBM_SWEEP_SHARD selects
-    // filesystem claim files against the shared store;
-    // EBM_COORDINATOR=host:port leases rows from an ebm_coordinator
-    // over TCP and streams results back as CRC-framed records.
-    const std::unique_ptr<LeaseProvider> lease =
-        makeLeaseProvider(cache_);
+    // Cooperative fill: with EBM_COORDINATOR=host:port, rows are
+    // leased at dispatch from an ebm_coordinator, so N cooperating
+    // workers split a cold sweep instead of each simulating all of
+    // it, and results stream back as CRC-framed records.
+    const std::unique_ptr<NetLeaseProvider> lease = makeLeaseProvider();
 
     // Serial pass in row order: cache probes and the injected
     // run-failure pre-draw both consume ordered global state (the
@@ -253,7 +250,7 @@ Exhaustive::sweep(const Workload &wl, std::vector<std::uint32_t> levels)
     // skipped; one bad combination must not lose the whole sweep.
     // Each success is persisted as it completes (checkpoint/resume).
     // Chaos kill: die the way the kernel kills a worker — SIGKILL, no
-    // destructors, no claim cleanup; the supervisor and the staleness
+    // destructors, no lease cleanup; the supervisor and the staleness
     // protocol must recover, and that recovery is what's under test.
     auto crashNow = [] {
         (void)::kill(::getpid(), SIGKILL);
@@ -341,10 +338,9 @@ Exhaustive::sweep(const Workload &wl, std::vector<std::uint32_t> levels)
             task.simulated = 1;
             if (lease) {
                 // Publish before dropping the lease: peers read
-                // "lease gone" as "result durable". Filesystem mode
-                // forces the covering group commit of the shared
-                // store; network mode streams the CRC-framed record
-                // to the coordinator, whose own writer commits it.
+                // "lease gone" as "result durable". The CRC-framed
+                // record streams to the coordinator, whose own writer
+                // commits it.
                 lease->publish(task.key, v);
                 // Crash point: result durable, lease left behind.
                 // Peers break the stale lease and re-probe the store.
@@ -369,7 +365,7 @@ Exhaustive::sweep(const Workload &wl, std::vector<std::uint32_t> levels)
             result.finalTlp = combo;
             table.skipped[task.row] = 1;
             task.skipped = 1;
-            // Durable skip marker: waiting processes replicate the
+            // Skip marker: waiting processes replicate the
             // skip instead of polling a row that will never appear.
             if (lease) {
                 beat.reset();
@@ -382,10 +378,8 @@ Exhaustive::sweep(const Workload &wl, std::vector<std::uint32_t> levels)
     // Fold in rows cooperating processes finished since our probe
     // pass: a completed row's lease is already gone (released after
     // the durable publish), so leases alone cannot tell "done" from
-    // "never started" — the authoritative store can (the shared file
-    // under filesystem claims, the coordinator's store over the
-    // wire). @return true when the row was assembled from a peer's
-    // result.
+    // "never started" — the coordinator's store can. @return true
+    // when the row was assembled from a peer's result.
     auto probePeer = [&](SweepTask &task) {
         const auto v =
             lease->fetch(task.key, 4u * std::size_t{n} + 1);
@@ -396,28 +390,19 @@ Exhaustive::sweep(const Workload &wl, std::vector<std::uint32_t> levels)
         return true;
     };
 
-    // Dispatch gate: under sharding a worker re-probes the store
-    // (peers may have finished the row already), leases the row right
-    // before simulating it, and re-probes once more after winning the
-    // lease (the owner may have released — result durable — between
-    // probe and acquisition). Cooperating processes thus split the
-    // missing rows by arrival instead of duplicating them; a row
-    // someone else still holds is deferred to the wait phase below.
-    // Echo the lease's fencing epoch into the store header: epochs
-    // past the first mean the row changed hands (a takeover), and a
-    // store written under takeovers should say so until compaction
-    // renders it canonical again.
-    auto noteEpoch = [&](const SweepTask &task) {
-        const std::uint64_t epoch = lease->ownedEpoch(task.key);
-        if (epoch > 1)
-            cache_.noteFencingEpoch(epoch);
-    };
-
+    // Dispatch gate: a leasing worker re-probes the coordinator's
+    // store (peers may have finished the row already), leases the row
+    // right before simulating it, and re-probes once more after
+    // winning the lease (the owner may have released — result durable
+    // — between probe and acquisition). Cooperating processes thus
+    // split the missing rows by arrival instead of duplicating them; a
+    // row someone else still holds is deferred to the wait phase
+    // below.
     auto runTask = [&](SweepTask &task) {
         // Liveness for the sweep supervisor (sweep_supervisor.hpp):
         // every dispatched row proves this worker is making progress,
         // leases or not.
-        ClaimHeartbeater::touchWorkerHeartbeat();
+        touchWorkerHeartbeat();
         if (lease) {
             if (probePeer(task))
                 return;
@@ -425,7 +410,6 @@ Exhaustive::sweep(const Workload &wl, std::vector<std::uint32_t> levels)
                 task.deferred = 1;
                 return;
             }
-            noteEpoch(task);
             if (probePeer(task)) {
                 lease->release(task.key);
                 return;
@@ -462,14 +446,14 @@ Exhaustive::sweep(const Workload &wl, std::vector<std::uint32_t> levels)
         pool.wait();
     }
 
-    // Wait phase (sharding only): rows other processes leased are
-    // assembled in odometer order from the authoritative store. The
+    // Wait phase (leasing only): rows other processes leased are
+    // assembled in odometer order from the coordinator's store. The
     // lease protocol closes every gap: a finished owner's result
     // appears on the next fetch, a killed owner's lease goes stale
-    // (immediately, in network mode, when its connection drops) and
-    // is taken over, and a skipping owner leaves a durable marker we
-    // replicate — so this loop always terminates, and the assembled
-    // table is the one a single process would have built.
+    // (immediately, when its connection drops) and is taken over, and
+    // a skipping owner leaves a marker we replicate — so this loop
+    // always terminates, and the assembled table is the one a single
+    // process would have built.
     for (SweepTask &task : tasks) {
         if (!task.deferred)
             continue;
@@ -477,7 +461,7 @@ Exhaustive::sweep(const Workload &wl, std::vector<std::uint32_t> levels)
             if (probePeer(task))
                 break;
             switch (lease->peek(task.key)) {
-              case LeaseProvider::State::Skipped: {
+              case NetLeaseProvider::State::Skipped: {
                 RunResult result;
                 result.apps.resize(n);
                 result.finalTlp = table.combos[task.row];
@@ -487,13 +471,12 @@ Exhaustive::sweep(const Workload &wl, std::vector<std::uint32_t> levels)
                 waiting = false;
                 break;
               }
-              case LeaseProvider::State::Absent:
+              case NetLeaseProvider::State::Absent:
                 // Owner takeover race (or it crashed between durable
                 // result and release — the re-probe covers the result
                 // landing after this iteration's fetch): lease it
                 // ourselves; duplicates are byte-identical anyway.
                 if (lease->tryAcquire(task.key)) {
-                    noteEpoch(task);
                     if (!probePeer(task))
                         simulateTask(task);
                     else
@@ -501,9 +484,8 @@ Exhaustive::sweep(const Workload &wl, std::vector<std::uint32_t> levels)
                     waiting = false;
                 }
                 break;
-              case LeaseProvider::State::Stale:
+              case NetLeaseProvider::State::Stale:
                 if (lease->breakStale(task.key)) {
-                    noteEpoch(task);
                     if (!probePeer(task))
                         simulateTask(task);
                     else
@@ -511,7 +493,7 @@ Exhaustive::sweep(const Workload &wl, std::vector<std::uint32_t> levels)
                     waiting = false;
                 }
                 break;
-              case LeaseProvider::State::Active:
+              case NetLeaseProvider::State::Active:
                 std::this_thread::sleep_for(
                     std::chrono::milliseconds(2));
                 break;

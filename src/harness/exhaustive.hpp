@@ -118,7 +118,7 @@ enum class OptTarget : std::uint8_t {
 
 /**
  * All |levels|^n TLP combinations in odometer order — the one row
- * order every sweep, probe, and shard-claim schedule shares.
+ * order every sweep, probe, and lease schedule shares.
  */
 std::vector<TlpCombo>
 enumerateCombos(const std::vector<std::uint32_t> &levels,
@@ -150,13 +150,14 @@ class Exhaustive
      * pre-drawn serially in row order at dispatch, so retry/skip
      * accounting is also identical at any job count.
      *
-     * With EBM_SWEEP_SHARD=1, N processes sharing the store split a
-     * cold sweep through the shard-claim protocol (shard_claim.hpp):
-     * each worker claims a row before simulating it, rows claimed
-     * elsewhere are assembled from the shared store in odometer
-     * order, and a killed peer's rows are reclaimed after its claims
-     * go stale — the table, fault accounting, and compacted store
-     * bytes stay identical at any (process x EBM_JOBS) combination.
+     * With EBM_COORDINATOR=host:port, N processes split a cold sweep
+     * through the coordinator's row leases (lease_net.hpp): each
+     * worker leases a row before simulating it, rows leased elsewhere
+     * are assembled from the coordinator's store in odometer order,
+     * and a killed peer's rows are taken over once its leases go
+     * stale — the table, fault accounting, and compacted coordinator
+     * store bytes stay identical at any (process x EBM_JOBS)
+     * combination.
      *
      * @param levels TLP ladder per app; empty = the standard ladder
      */

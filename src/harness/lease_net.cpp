@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdlib>
-#include <thread>
 
+#include "common/config.hpp"
 #include "common/log.hpp"
 #include "harness/disk_cache.hpp"
-#include "harness/shard_claim.hpp"
 #include "harness/store_format.hpp"
+#include "harness/sweep_supervisor.hpp"
 #include "workload/app_catalog.hpp"
 
 namespace ebm {
@@ -76,11 +76,25 @@ NetLeaseProvider::connect(const std::string &address,
              (reply ? ": " + *reply : std::string()));
         return nullptr;
     }
+    // The coordinator's staleness window paces our heartbeats and
+    // RPC deadline: a worker on its own clock would renew too rarely
+    // for a short window and peers would take over live rows.
     const auto tokens = wire::splitTokens(*reply);
-    if (tokens.size() == 2)
-        provider->staleMs_ =
-            std::chrono::milliseconds(std::stoll(tokens[1]));
+    std::uint64_t stale_ms = 0;
+    if (tokens.size() != 2 || !parseUint(tokens[1].c_str(), stale_ms) ||
+        stale_ms == 0) {
+        warn("NetLeaseProvider: coordinator at " + address +
+             " sent no staleness window: " + *reply);
+        return nullptr;
+    }
+    provider->staleMs_ = std::chrono::milliseconds(stale_ms);
     return provider;
+}
+
+std::chrono::milliseconds
+NetLeaseProvider::heartbeatInterval() const
+{
+    return std::max(staleMs_ / 4, std::chrono::milliseconds(10));
 }
 
 int
@@ -88,9 +102,8 @@ NetLeaseProvider::timeoutMs() const
 {
     if (options_.rpcTimeout.count() > 0)
         return static_cast<int>(options_.rpcTimeout.count());
-    const auto window = ShardClaims::staleThreshold() * 4;
     return static_cast<int>(
-        std::max<std::chrono::milliseconds::rep>(window.count(),
+        std::max<std::chrono::milliseconds::rep>(staleMs_.count() * 4,
                                                  2000));
 }
 
@@ -189,13 +202,13 @@ NetLeaseProvider::markSkipped(const std::string &key)
     return reply && *reply == "OK";
 }
 
-LeaseProvider::State
+NetLeaseProvider::State
 NetLeaseProvider::peek(const std::string &key)
 {
     std::lock_guard<std::mutex> lk(mu_);
     const auto reply = rpc("PEEK " + key);
     if (!reply)
-        return State::Absent; // Degraded: claim it, compute locally.
+        return State::Absent; // Degraded: lease it, compute locally.
     if (*reply == "ACTIVE")
         return State::Active;
     if (*reply == "STALE")
@@ -274,6 +287,63 @@ NetLeaseProvider::degraded() const
 {
     std::lock_guard<std::mutex> lk(mu_);
     return degraded_;
+}
+
+std::unique_ptr<NetLeaseProvider>
+makeLeaseProvider()
+{
+    const char *coordinator = std::getenv("EBM_COORDINATOR");
+    if (coordinator == nullptr || coordinator[0] == '\0')
+        return nullptr;
+    auto net = NetLeaseProvider::connect(coordinator);
+    if (net == nullptr) {
+        warn("makeLeaseProvider: cannot reach coordinator " +
+             std::string(coordinator) +
+             "; sweep degrades to standalone (results stay local)");
+    }
+    return net;
+}
+
+LeaseHeartbeater::LeaseHeartbeater(NetLeaseProvider *lease,
+                                   std::string key)
+    : lease_(lease), key_(std::move(key))
+{
+    if (lease_ == nullptr || key_.empty())
+        return;
+    thread_ = std::thread([this] { run(); });
+}
+
+LeaseHeartbeater::~LeaseHeartbeater()
+{
+    if (!thread_.joinable())
+        return;
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        stop_ = true;
+    }
+    cv_.notify_all();
+    thread_.join();
+}
+
+void
+LeaseHeartbeater::run()
+{
+    const auto interval = lease_->heartbeatInterval();
+    std::unique_lock<std::mutex> lk(mu_);
+    for (;;) {
+        if (cv_.wait_for(lk, interval, [this] { return stop_; }))
+            return;
+        lk.unlock();
+        touchWorkerHeartbeat();
+        const bool ok = lease_->heartbeat(key_);
+        lk.lock();
+        if (!ok) {
+            // Fenced: stop renewing a lease that is no longer ours
+            // and let the owner discover it after the run.
+            fenced_.store(true, std::memory_order_relaxed);
+            return;
+        }
+    }
 }
 
 } // namespace ebm

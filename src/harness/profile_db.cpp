@@ -9,8 +9,8 @@
 #include "common/job_pool.hpp"
 #include "common/log.hpp"
 #include "harness/cost_model.hpp"
-#include "harness/lease_provider.hpp"
-#include "harness/shard_claim.hpp"
+#include "harness/lease_net.hpp"
+#include "harness/sweep_supervisor.hpp"
 
 namespace ebm {
 
@@ -80,15 +80,13 @@ ProfileDb::profile(const AppProfile &app)
     prof.levels = GpuConfig::tlpLevels();
     prof.perLevel.resize(prof.levels.size());
 
-    // Cross-process sharding: levels are leased at dispatch like
-    // sweep rows (EBM_SWEEP_SHARD for filesystem claims,
-    // EBM_COORDINATOR for network leases). An armed fault injector
-    // keeps the pass serial *and* unsharded — its query order is part
-    // of the documented fault schedule and must not depend on which
-    // process wins a lease.
-    std::unique_ptr<LeaseProvider> lease;
+    // Cooperative fill: levels are leased at dispatch like sweep rows
+    // (EBM_COORDINATOR). An armed fault injector keeps the pass serial
+    // *and* unleased — its query order is part of the documented fault
+    // schedule and must not depend on which process wins a lease.
+    std::unique_ptr<NetLeaseProvider> lease;
     if (runner_.options().faultInjector == nullptr)
-        lease = makeLeaseProvider(cache_);
+        lease = makeLeaseProvider();
 
     // Serial pass in level order: cache probes (and their warnings)
     // happen in the same order at any job count; misses become tasks.
@@ -118,8 +116,7 @@ ProfileDb::profile(const AppProfile &app)
                              runner_.options().measureCycles;
     auto simulateLevel = [&](std::size_t i) {
         // In-run heartbeat: an alone run longer than the staleness
-        // window must not look abandoned to peers
-        // (lease_provider.hpp).
+        // window must not look abandoned to peers (lease_net.hpp).
         std::optional<LeaseHeartbeater> beat;
         if (lease)
             beat.emplace(lease.get(), keys[i]);
@@ -135,9 +132,7 @@ ProfileDb::profile(const AppProfile &app)
         prof.perLevel[i] = stats;
         if (lease) {
             // Publish before dropping the lease; peers read "lease
-            // gone" as "result durable" (group commit in filesystem
-            // mode, record stream to the coordinator in network
-            // mode).
+            // gone" as "result durable".
             lease->publish(keys[i],
                            {stats.ipc, stats.bw, stats.l1Mr,
                             stats.l2Mr});
@@ -150,15 +145,8 @@ ProfileDb::profile(const AppProfile &app)
         }
     };
 
-    // Header echo for takeover epochs, as in Exhaustive::sweep.
-    auto noteEpoch = [&](std::size_t i) {
-        const std::uint64_t epoch = lease->ownedEpoch(keys[i]);
-        if (epoch > 1)
-            cache_.noteFencingEpoch(epoch);
-    };
-
     // Fold in a level a cooperating process finished since our probe
-    // pass (its lease is already released, so only the authoritative
+    // pass (its lease is already released, so only the coordinator's
     // store can tell "done" from "never started").
     auto probePeer = [&](std::size_t i) {
         const auto v = lease->fetch(keys[i], 4);
@@ -172,14 +160,14 @@ ProfileDb::profile(const AppProfile &app)
     };
 
     // Dispatch gate, as in Exhaustive::sweep: re-probe the store,
-    // claim the level right before simulating it, then re-probe once
+    // lease the level right before simulating it, then re-probe once
     // more (the owner may have released — result durable — between
     // probe and acquisition); levels cooperating processes still hold
-    // are assembled from the shared store afterwards.
+    // are assembled from the coordinator's store afterwards.
     std::vector<std::size_t> deferred;
     std::mutex deferred_mu;
     auto runLevel = [&](std::size_t i) {
-        ClaimHeartbeater::touchWorkerHeartbeat();
+        touchWorkerHeartbeat();
         if (lease) {
             if (probePeer(i))
                 return;
@@ -188,7 +176,6 @@ ProfileDb::profile(const AppProfile &app)
                 deferred.push_back(i);
                 return;
             }
-            noteEpoch(i);
             if (probePeer(i)) {
                 lease->release(keys[i]);
                 return;
@@ -230,7 +217,7 @@ ProfileDb::profile(const AppProfile &app)
         pool.wait();
     }
 
-    // Wait phase (sharding only), in level order: a finished peer's
+    // Wait phase (leasing only), in level order: a finished peer's
     // result appears on the next fetch, a killed peer's lease goes
     // stale and is taken over. Alone runs have no skip path — a
     // failure throws — so there is no skip marker to replicate here.
@@ -240,9 +227,8 @@ ProfileDb::profile(const AppProfile &app)
             if (probePeer(i))
                 break;
             switch (lease->peek(keys[i])) {
-              case LeaseProvider::State::Absent:
+              case NetLeaseProvider::State::Absent:
                 if (lease->tryAcquire(keys[i])) {
-                    noteEpoch(i);
                     if (!probePeer(i))
                         simulateLevel(i);
                     else
@@ -250,9 +236,8 @@ ProfileDb::profile(const AppProfile &app)
                     waiting = false;
                 }
                 break;
-              case LeaseProvider::State::Stale:
+              case NetLeaseProvider::State::Stale:
                 if (lease->breakStale(keys[i])) {
-                    noteEpoch(i);
                     if (!probePeer(i))
                         simulateLevel(i);
                     else

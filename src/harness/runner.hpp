@@ -57,7 +57,7 @@ class Runner
 
     /**
      * Disk-cache key for one shared-run combination row of @p wl_name.
-     * The single definition Exhaustive, the shard-claim protocol, and
+     * The single definition Exhaustive, the coordinator's leases, and
      * tests all share, so a key drift can never split the store.
      */
     std::string comboKey(const std::string &wl_name,

@@ -15,7 +15,7 @@
  *     [12..15]  u32 app-catalog version at write time
  *     [16..55]  machine float-ABI fingerprint, NUL-padded
  *     [56..63]  u64 max fencing epoch under which frames were appended
- *               (0 in compacted/clean stores; see shard_claim.hpp)
+ *               (0 in compacted/clean stores; see coordinator.hpp)
  *   frame:
  *     u32 frame magic | u32 keyLen | u32 valueCount |
  *     keyLen key bytes | valueCount raw doubles | u64 checksum

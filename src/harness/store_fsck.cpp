@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "harness/disk_cache.hpp"
-#include "harness/shard_claim.hpp"
 #include "harness/store_format.hpp"
 #include "workload/app_catalog.hpp"
 
@@ -108,9 +107,6 @@ FsckReport::summaryLine() const
         << " unique keys, " << duplicateKeys << " superseded, "
         << badRegions << " bad regions / " << bytesQuarantined
         << " bytes quarantined" << (tornTail ? ", torn tail" : "");
-    if (orphanedEpochsRemoved > 0)
-        out << ", " << orphanedEpochsRemoved
-            << " epoch sidecars swept";
     out << ")";
     if (!error.empty())
         out << " error: " << error;
@@ -206,12 +202,6 @@ fsckStore(const std::string &path, const FsckOptions &options)
     const bool dirty = report.badRegions > 0 || report.tornTail;
     report.verdict =
         dirty ? FsckReport::Verdict::Dirty : FsckReport::Verdict::Clean;
-    // Repair mode also grooms the sidecar dir: fencing counters whose
-    // claim is long gone are leftovers of finished rows, and fsck runs
-    // against a quiescent store by contract (a Clean store still gets
-    // the sweep — the sidecars are outside the store file).
-    if (options.repair)
-        report.orphanedEpochsRemoved = sweepOrphanedEpochs(path);
     if (!dirty || !options.repair)
         return report;
 

@@ -58,9 +58,6 @@ struct FsckReport
     bool tornTail = false;          ///< Incomplete final frame.
 
     bool repaired = false;          ///< Canonical rewrite performed.
-    /** Orphaned `<keyfp>.epoch` sidecars swept from the claim dir
-     * (repair mode only; see sweepOrphanedEpochs). */
-    std::size_t orphanedEpochsRemoved = 0;
     std::string quarantinePath;     ///< Written when bytes were bad.
     std::string error;              ///< I/O-level failure, if any.
 

@@ -13,7 +13,6 @@
 #include <thread>
 
 #include "common/log.hpp"
-#include "harness/shard_claim.hpp"
 
 namespace ebm {
 
@@ -60,6 +59,14 @@ struct Slot
 
 } // namespace
 
+void
+touchWorkerHeartbeat()
+{
+    const char *path = std::getenv("EBM_WORKER_HEARTBEAT");
+    if (path != nullptr && path[0] != '\0')
+        touchFile(path);
+}
+
 std::string
 SweepSupervisor::Report::summaryLine() const
 {
@@ -76,12 +83,6 @@ SweepSupervisor::SweepSupervisor(Options options)
 {
     if (options_.workers == 0)
         options_.workers = 1;
-    if (options_.hangTimeout.count() == 0) {
-        // Hang must be slower than staleness: a stuck worker's claims
-        // should go stale (and be taken over) before the supervisor
-        // spends a restart on it.
-        options_.hangTimeout = 4 * ShardClaims::staleThreshold();
-    }
     if (!options_.heartbeatDir.empty()) {
         if (::mkdir(options_.heartbeatDir.c_str(), 0777) != 0 &&
             errno != EEXIST) {
@@ -125,9 +126,8 @@ SweepSupervisor::run(const WorkerFn &worker)
         }
         if (pid == 0) {
             // Child: advertise the heartbeat file to the sweep loop
-            // (ClaimHeartbeater::touchWorkerHeartbeat), run the
-            // worker body, and exit without running the parent's
-            // atexit chain twice.
+            // (touchWorkerHeartbeat), run the worker body, and exit
+            // without running the parent's atexit chain twice.
             if (!hb.empty())
                 ::setenv("EBM_WORKER_HEARTBEAT", hb.c_str(), 1);
             // Point the child's dispatch gate at the coordinator:
@@ -229,7 +229,7 @@ SweepSupervisor::run(const WorkerFn &worker)
 
             // Hang detection: the worker is alive but its heartbeat
             // file has gone silent past the timeout — kill it and let
-            // the normal crash path restart it (claims it held go
+            // the normal crash path restart it (leases it held go
             // stale and peers take them over meanwhile).
             const std::string hb = heartbeatPath(s);
             if (!hb.empty()) {

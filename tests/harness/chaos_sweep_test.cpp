@@ -1,14 +1,16 @@
 /**
  * @file
- * The chaos acceptance suite: supervised sharded sweeps with workers
- * SIGKILLed at seeded crash points — claim held (nothing durable),
- * post-put pre-release (result durable, claim orphaned), and mid-way
- * through a store append (torn bytes on disk) — across {2, 4}
+ * The chaos acceptance suite: supervised workers filling one sweep
+ * through a coordinator, SIGKILLed at seeded crash points — lease
+ * held (nothing durable), post-publish pre-release (result durable at
+ * the coordinator, lease orphaned), and mid-way through an append to
+ * the worker's own store (torn bytes on disk) — across {2, 4}
  * processes x jobs {1, 8}. The supervisor restarts every victim, the
- * staleness protocol re-homes their rows, torn tails are truncated by
- * the next writer, and the compacted shared store is byte-identical
- * to a crash-free single-process run. fsck agrees the survivor is
- * clean before compaction touches it.
+ * coordinator orphans the dead workers' leases so peers take their
+ * rows over, a replacement truncates its predecessor's torn tail, and
+ * the compacted coordinator store is byte-identical to a crash-free
+ * single-process run. fsck agrees that store is clean before
+ * compaction touches it.
  */
 #include <sys/wait.h>
 #include <unistd.h>
@@ -26,6 +28,7 @@
 
 #include "../test_util.hpp"
 #include "common/fault_injector.hpp"
+#include "harness/coordinator.hpp"
 #include "harness/disk_cache.hpp"
 #include "harness/exhaustive.hpp"
 #include "harness/store_fsck.hpp"
@@ -44,32 +47,6 @@ slurp(const std::string &path)
     ss << in.rdbuf();
     return ss.str();
 }
-
-class ScopedEnv
-{
-  public:
-    ScopedEnv(const char *name, const char *value) : name_(name)
-    {
-        const char *old = std::getenv(name);
-        if (old != nullptr) {
-            had_ = true;
-            old_ = old;
-        }
-        ::setenv(name, value, 1);
-    }
-    ~ScopedEnv()
-    {
-        if (had_)
-            ::setenv(name_, old_.c_str(), 1);
-        else
-            ::unsetenv(name_);
-    }
-
-  private:
-    const char *name_;
-    bool had_ = false;
-    std::string old_;
-};
 
 void
 removeDirTree(const std::string &dir)
@@ -143,97 +120,146 @@ class ChaosSweepTest : public ::testing::Test
                     ->name();
         ref_path_ = stem_ + "_ref.cache";
         shared_path_ = stem_ + "_shared.cache";
-        hb_dir_ = stem_ + ".hb";
-        removeAll();
+        removeCellFiles();
+        removeStore(ref_path_);
     }
 
-    void TearDown() override { removeAll(); }
-
     void
-    removeAll()
+    TearDown() override
     {
-        for (const std::string &p : {ref_path_, shared_path_}) {
-            std::remove(p.c_str());
-            std::remove((p + ".quarantined").c_str());
-            std::remove((p + ".tmp").c_str());
-            std::remove((p + ".fsck-quarantine").c_str());
-            removeDirTree(p + ".claims");
-        }
-        removeDirTree(hb_dir_);
+        removeCellFiles();
+        removeStore(ref_path_);
+    }
+
+    static void
+    removeStore(const std::string &p)
+    {
+        for (const char *suffix :
+             {"", ".quarantined", ".tmp", ".fsck-quarantine"})
+            std::remove((p + suffix).c_str());
+    }
+
+    /** Everything one chaos cell leaves behind (runChaosCell). */
+    void
+    removeCellFiles()
+    {
+        removeStore(shared_path_);
+        for (int slot = 0; slot < 4; ++slot)
+            removeStore(stem_ + "_slot" + std::to_string(slot) +
+                        ".cache");
+        std::remove((stem_ + ".report").c_str());
+        removeDirTree(stem_ + ".hb");
     }
 
     std::string stem_;
     std::string ref_path_;
     std::string shared_path_;
-    std::string hb_dir_;
 };
 
 /**
  * One grid cell: @p procs supervised workers (jobs threads each) fill
- * the shared sweep; every slot's first life dies at its seeded crash
- * point; the supervisor restarts it and the survivors converge on the
- * crash-free bytes.
+ * the sweep through a coordinator over the shared store; every
+ * slot's first life dies at its seeded crash point; the supervisor
+ * restarts it and the survivors converge on the crash-free bytes.
  */
 void
-runChaosCell(int procs, std::uint32_t jobs,
-             const std::string &shared_path, const std::string &hb_dir,
+runChaosCell(int procs, std::uint32_t jobs, const std::string &stem,
              const ComboTable &ref, const std::string &ref_bytes,
              const std::vector<std::uint32_t> &ladder)
 {
     SCOPED_TRACE(std::to_string(procs) + "p/" + std::to_string(jobs) +
                  "j");
+    const std::string shared_path = stem + "_shared.cache";
+    const std::string report_path = stem + ".report";
+
+    DiskCache store(shared_path);
+    Coordinator::Options copts;
+    copts.staleThreshold = std::chrono::milliseconds(300);
+    Coordinator coordinator(store, copts);
+    ASSERT_TRUE(coordinator.bind().ok());
 
     SweepSupervisor::Options o;
     o.workers = static_cast<std::uint32_t>(procs);
     o.maxRestarts = 5;
     o.backoffBase = std::chrono::milliseconds(10);
     o.backoffCap = std::chrono::milliseconds(100);
-    o.heartbeatDir = hb_dir;
+    o.heartbeatDir = stem + ".hb";
     // Generous: hang detection is exercised by the supervisor suite;
     // here it must never misfire while workers wait on peers' rows.
     o.hangTimeout = std::chrono::seconds(30);
-    SweepSupervisor sup(o);
+    o.coordinator = coordinator.address();
 
-    const SweepSupervisor::Report report = sup.run(
-        [&](std::uint32_t slot, std::uint32_t attempt) {
-            RunOptions opts = test::tinyOptions();
-            std::optional<FaultInjector> fi;
-            FaultInjector *fip = nullptr;
-            if (attempt == 0) {
-                // First life: every crash-point draw fires, so this
-                // worker dies at its designated point on the first
-                // row it actually computes. Replacement lives run
-                // clean and finish the sweep cooperatively.
-                fi.emplace(1000u + slot);
-                fi->armAfter(crashPointFor(slot), 0, 64);
-                fip = &*fi;
-                opts.faultInjector = fip;
-            }
-            Runner runner(test::tinyConfig(2), opts);
-            DiskCache cache(shared_path, fip);
-            Exhaustive ex(runner, cache);
-            ex.setJobs(jobs);
-            const ComboTable mine =
-                ex.sweep(makePair("BLK", "TRD"), ladder);
-            return tablesBitIdentical(ref, mine) ? 0 : 2;
-        });
+    // The supervisor forks replacement workers for as long as the
+    // cell runs, so it runs in a child of its own: the coordinator is
+    // bound before that fork and started after it, and no fork ever
+    // clones a running coordinator thread.
+    const pid_t supervisor_pid = ::fork();
+    ASSERT_GE(supervisor_pid, 0);
+    if (supervisor_pid == 0) {
+        SweepSupervisor sup(o);
+        const SweepSupervisor::Report report = sup.run(
+            [&](std::uint32_t slot, std::uint32_t attempt) {
+                RunOptions opts = test::tinyOptions();
+                std::optional<FaultInjector> fi;
+                FaultInjector *fip = nullptr;
+                if (attempt == 0) {
+                    // First life: every crash-point draw fires, so
+                    // this worker dies at its designated point on the
+                    // first row it actually computes. Replacement
+                    // lives run clean and finish the sweep
+                    // cooperatively.
+                    fi.emplace(1000u + slot);
+                    fi->armAfter(crashPointFor(slot), 0, 64);
+                    fip = &*fi;
+                    opts.faultInjector = fip;
+                }
+                Runner runner(test::tinyConfig(2), opts);
+                // A slot's lives share one private store, so a
+                // replacement reopens whatever its predecessor tore.
+                DiskCache scratch(
+                    stem + "_slot" + std::to_string(slot) + ".cache",
+                    fip);
+                Exhaustive ex(runner, scratch);
+                ex.setJobs(jobs);
+                const ComboTable mine =
+                    ex.sweep(makePair("BLK", "TRD"), ladder);
+                return tablesBitIdentical(ref, mine) ? 0 : 2;
+            });
+        {
+            std::ofstream out(report_path);
+            out << report.totalRestarts << "\n"
+                << report.summaryLine() << "\n";
+        }
+        ::_exit(report.allSucceeded ? 0 : 1);
+    }
+    ASSERT_TRUE(coordinator.start().ok());
+    int status = 0;
+    ASSERT_EQ(::waitpid(supervisor_pid, &status, 0), supervisor_pid);
+    coordinator.stop();
 
-    EXPECT_TRUE(report.allSucceeded) << report.summaryLine();
-    EXPECT_GE(report.totalRestarts, 1u)
-        << "at least one seeded crash must have fired: "
-        << report.summaryLine();
+    std::uint32_t restarts = 0;
+    std::string summary;
+    {
+        std::ifstream in(report_path);
+        in >> restarts;
+        in.ignore();
+        std::getline(in, summary);
+    }
+    EXPECT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+        << summary;
+    EXPECT_GE(restarts, 1u)
+        << "at least one seeded crash must have fired: " << summary;
 
-    // The surviving store is structurally sound before compaction
-    // (all torn tails were truncated by later writers)...
+    // The coordinator's store is structurally sound before
+    // compaction...
+    store.sync();
     const FsckReport fsck = fsckStore(shared_path);
     EXPECT_EQ(fsck.verdict, FsckReport::Verdict::Clean)
         << fsck.summaryLine();
 
     // ...and compacts to the crash-free single-process bytes.
-    DiskCache merged(shared_path);
-    EXPECT_FALSE(merged.loadReport().quarantined);
-    EXPECT_EQ(merged.size(), ref.combos.size());
-    ASSERT_TRUE(merged.compact());
+    EXPECT_EQ(store.size(), ref.combos.size());
+    ASSERT_TRUE(store.compact());
     EXPECT_EQ(slurp(shared_path), ref_bytes)
         << "chaos must not change the canonical store bytes";
 }
@@ -257,20 +283,15 @@ TEST_F(ChaosSweepTest, KilledWorkersConvergeToCrashFreeBytes)
         ASSERT_FALSE(ref_bytes.empty());
     }
 
-    ScopedEnv shard("EBM_SWEEP_SHARD", "1");
-    ScopedEnv stale("EBM_CLAIM_STALE_MS", "300");
-
     const struct
     {
         int procs;
         std::uint32_t jobs;
     } grid[] = {{2, 1}, {2, 8}, {4, 1}, {4, 8}};
     for (const auto &cfg : grid) {
-        std::remove(shared_path_.c_str());
-        removeDirTree(shared_path_ + ".claims");
-        removeDirTree(hb_dir_);
-        runChaosCell(cfg.procs, cfg.jobs, shared_path_, hb_dir_, ref,
-                     ref_bytes, ladder);
+        removeCellFiles();
+        runChaosCell(cfg.procs, cfg.jobs, stem_, ref, ref_bytes,
+                     ladder);
     }
 }
 

@@ -4,21 +4,17 @@
 #include <unistd.h>
 
 #include <bit>
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <dirent.h>
 #include <fstream>
 #include <limits>
 #include <sstream>
-#include <thread>
 
 #include <gtest/gtest.h>
 
 #include "../test_util.hpp"
 #include "common/rng.hpp"
-#include "harness/shard_claim.hpp"
 
 namespace ebm {
 namespace {
@@ -759,106 +755,6 @@ TEST_F(DiskCacheTest, NotedFencingEpochIsEchoedIntoTheHeader)
     DiskCache compacted(path_);
     EXPECT_EQ(compacted.loadReport().fencingEpoch, 0u);
     EXPECT_EQ(compacted.size(), 2u);
-}
-
-// ---------------------------------------------------------------------
-// Epoch-sidecar hygiene: compact() sweeps `<keyfp>.epoch` files whose
-// claim is gone and whose mtime is past the staleness window — the
-// long-lived store stops accreting one sidecar per key ever swept.
-// ---------------------------------------------------------------------
-
-/** Count regular files under @p dir whose name ends with @p suffix. */
-std::size_t
-countFilesWithSuffix(const std::string &dir, const std::string &suffix)
-{
-    std::size_t n = 0;
-    DIR *d = ::opendir(dir.c_str());
-    if (d == nullptr)
-        return 0;
-    while (struct dirent *e = ::readdir(d)) {
-        const std::string name = e->d_name;
-        if (name.size() >= suffix.size() &&
-            name.compare(name.size() - suffix.size(), suffix.size(),
-                         suffix) == 0)
-            ++n;
-    }
-    ::closedir(d);
-    return n;
-}
-
-/** Remove every file under @p dir, then the dir itself. */
-void
-removeClaimDir(const std::string &dir)
-{
-    DIR *d = ::opendir(dir.c_str());
-    if (d != nullptr) {
-        while (struct dirent *e = ::readdir(d)) {
-            const std::string name = e->d_name;
-            if (name != "." && name != "..")
-                std::remove((dir + "/" + name).c_str());
-        }
-        ::closedir(d);
-    }
-    ::rmdir(dir.c_str());
-}
-
-TEST_F(DiskCacheTest, CompactSweepsOrphanedEpochSidecars)
-{
-    const std::string claims_dir = path_ + ".claims";
-    {
-        // A finished sharded sweep: claims released, epoch counters
-        // left behind as orphans.
-        ShardClaims claims(path_);
-        ASSERT_TRUE(claims.tryAcquire("row/a"));
-        ASSERT_TRUE(claims.tryAcquire("row/b"));
-        ASSERT_TRUE(claims.release("row/a"));
-        ASSERT_TRUE(claims.release("row/b"));
-    }
-    ASSERT_EQ(countFilesWithSuffix(claims_dir, ".epoch"), 2u);
-
-    DiskCache cache(path_);
-    cache.put("row/a", {1.0});
-    cache.sync();
-
-    // Inside the staleness window the sidecars are load-bearing (a
-    // paused owner may still need to be fenced): compact keeps them.
-    ASSERT_TRUE(cache.compact());
-    EXPECT_EQ(countFilesWithSuffix(claims_dir, ".epoch"), 2u);
-
-    // Past the window they are garbage: compact sweeps them.
-    ::setenv("EBM_CLAIM_STALE_MS", "1", 1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    const bool compacted = cache.compact();
-    ::unsetenv("EBM_CLAIM_STALE_MS");
-    ASSERT_TRUE(compacted);
-    EXPECT_EQ(countFilesWithSuffix(claims_dir, ".epoch"), 0u);
-
-    removeClaimDir(claims_dir);
-}
-
-TEST_F(DiskCacheTest, CompactKeepsEpochSidecarsUnderLiveClaims)
-{
-    const std::string claims_dir = path_ + ".claims";
-    ShardClaims claims(path_);
-    ASSERT_TRUE(claims.tryAcquire("row/held"));
-    ASSERT_EQ(countFilesWithSuffix(claims_dir, ".epoch"), 1u);
-
-    DiskCache cache(path_);
-    cache.put("row/held", {1.0});
-    cache.sync();
-
-    // Even with a 1ms window the sidecar survives: its claim file is
-    // present, so the epoch is owned, not orphaned — deleting it
-    // would reset the fence under a live owner.
-    ::setenv("EBM_CLAIM_STALE_MS", "1", 1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    const bool compacted = cache.compact();
-    ::unsetenv("EBM_CLAIM_STALE_MS");
-    ASSERT_TRUE(compacted);
-    EXPECT_EQ(countFilesWithSuffix(claims_dir, ".epoch"), 1u);
-
-    EXPECT_TRUE(claims.release("row/held"));
-    removeClaimDir(claims_dir);
 }
 
 } // namespace

@@ -3,13 +3,12 @@
  * The networked sweep fabric end-to-end: an in-process Coordinator
  * over the authoritative store, with forked worker processes running
  * the ordinary profile/sweep dispatch loop against leased rows over
- * localhost TCP (EBM_COORDINATOR). The acceptance contract is the
- * same one the filesystem protocol locks in the multiprocess suite —
- * every worker's table bit-identical to a serial run, the compacted
- * coordinator store byte-identical to a serial fill — plus the
- * fabric-specific failure modes: workers SIGKILLed mid-lease and
- * mid-sweep, and RunFail-injected workers replicating skips over the
- * wire.
+ * localhost TCP (EBM_COORDINATOR). The acceptance contract: every
+ * worker's table bit-identical to a serial run, and the compacted
+ * coordinator store byte-identical to a serial fill — also when
+ * workers are SIGKILLed mid-lease or mid-sweep, when RunFail-injected
+ * workers replicate skips over the wire, and when rows outlast a tiny
+ * staleness window that only the coordinator was told about.
  *
  * Fork discipline: the Coordinator is bind()ed before any fork and
  * start()ed after — children inherit one quiet listening fd, never a
@@ -22,7 +21,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <dirent.h>
 #include <fstream>
 #include <optional>
 #include <sstream>
@@ -53,22 +51,6 @@ slurp(const std::string &path)
     std::stringstream ss;
     ss << in.rdbuf();
     return ss.str();
-}
-
-/** Remove a flat directory (claim dirs hold no subdirectories). */
-void
-removeDirTree(const std::string &dir)
-{
-    DIR *d = ::opendir(dir.c_str());
-    if (d != nullptr) {
-        while (struct dirent *e = ::readdir(d)) {
-            const std::string name = e->d_name;
-            if (name != "." && name != "..")
-                std::remove((dir + "/" + name).c_str());
-        }
-        ::closedir(d);
-    }
-    ::rmdir(dir.c_str());
 }
 
 /** Bitwise table equality (the cross-machine identity contract). */
@@ -133,7 +115,6 @@ class DistributedSweepTest : public ::testing::Test
             std::remove(p.c_str());
             std::remove((p + ".quarantined").c_str());
             std::remove((p + ".tmp").c_str());
-            removeDirTree(p + ".claims");
         }
     }
 
@@ -428,18 +409,23 @@ TEST_F(DistributedSweepTest, WorkerKilledMidLeaseIsTakenOver)
 
     ASSERT_TRUE(coordinator.start().ok());
 
-    // Kill the holder once its lease is visible over the wire.
+    // Kill the holder once it has signalled readiness — the survivor
+    // waits on the same file, so killing earlier would leave it polling
+    // for a signal that never comes — and its lease is visible over
+    // the wire.
+    for (int i = 0; i < 2000 && !std::ifstream(readyPath(0)).good(); ++i)
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
     {
         auto observer = NetLeaseProvider::connect(address);
         ASSERT_NE(observer, nullptr);
-        LeaseProvider::State s = LeaseProvider::State::Absent;
+        NetLeaseProvider::State s = NetLeaseProvider::State::Absent;
         for (int i = 0; i < 2000; ++i) {
             s = observer->peek(held_key);
-            if (s == LeaseProvider::State::Active)
+            if (s == NetLeaseProvider::State::Active)
                 break;
             std::this_thread::sleep_for(std::chrono::milliseconds(5));
         }
-        ASSERT_EQ(s, LeaseProvider::State::Active);
+        ASSERT_EQ(s, NetLeaseProvider::State::Active);
     }
     ASSERT_EQ(::kill(doomed, SIGKILL), 0);
     int status = 0;
@@ -503,10 +489,57 @@ TEST_F(DistributedSweepTest, WorkerKilledMidSweepIsRecovered)
 }
 
 /**
+ * Rows that outlast a tiny staleness window set only on the
+ * coordinator: the workers learn the 200 ms window at HELLO and
+ * heartbeat a quarter of it, so the deferring worker waits for the
+ * live owner instead of taking over a row that is merely long — each
+ * row is simulated exactly once and no verb is ever fenced.
+ */
+TEST_F(DistributedSweepTest, SlowRowsAtTinyWindowAreNotTakenOver)
+{
+    // The tiny config runs ~7k cycles in single-digit milliseconds;
+    // 100x that is hundreds of milliseconds per row.
+    RunOptions slow = test::tinyOptions();
+    slow.warmupCycles = 1000;
+    slow.measureCycles = 700000;
+    const std::vector<std::uint32_t> ladder = {2};
+
+    ComboTable ref;
+    const std::string ref_bytes = fillSerialReference(
+        slow, ladder, ref, /*with_profiles=*/false);
+    ASSERT_EQ(ref.combos.size(), 1u);
+
+    DiskCache dist(dist_path_);
+    Coordinator::Options copts;
+    copts.staleThreshold = std::chrono::milliseconds(200);
+    Coordinator coordinator(dist, copts);
+    ASSERT_TRUE(coordinator.bind().ok());
+    std::vector<pid_t> kids;
+    for (int c = 0; c < 2; ++c) {
+        kids.push_back(forkWorker(c, coordinator.address(), slow, ladder,
+                                  ref, 1, /*with_profiles=*/false));
+    }
+    ASSERT_TRUE(coordinator.start().ok());
+    std::size_t sum = 0;
+    for (std::size_t c = 0; c < kids.size(); ++c)
+        sum += reapWorker(kids[c], static_cast<int>(c));
+    coordinator.stop();
+
+    EXPECT_EQ(sum, 1u) << "a long row was taken over from its live owner";
+    const Coordinator::Stats stats = coordinator.stats();
+    EXPECT_EQ(stats.fencedOps, 0u);
+    EXPECT_EQ(stats.takeovers, 0u);
+
+    dist.sync();
+    ASSERT_TRUE(dist.compact());
+    EXPECT_EQ(slurp(dist_path_), ref_bytes);
+}
+
+/**
  * RunFail-injected workers over the wire: the persistently failing
- * combination is skipped by whichever worker claims it, the skip
- * marker is replicated through SKIPMARK/PEEK instead of sidecar
- * files, and the compacted store matches the injected serial run.
+ * combination is skipped by whichever worker leases it, the skip
+ * marker is replicated through SKIPMARK/PEEK, and the compacted store
+ * matches the injected serial run.
  */
 TEST_F(DistributedSweepTest, InjectedFailuresReplicateSkipsOverTheWire)
 {

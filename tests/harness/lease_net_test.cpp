@@ -3,12 +3,13 @@
  * The networked lease fabric in one process: a Coordinator over a
  * temp store, NetLeaseProvider clients over localhost TCP. Covers the
  * lease verbs (exclusivity, epochs, skip replication), wire-level
- * fencing (stale takeover, fenced heartbeat/release), the
- * disconnect-orphans-leases rule, record streaming (publish/fetch
- * with validation), handshake rejection of incompatible workers, a
- * record cut off mid-stream never reaching the store, and the RPC
- * latency receipts. Forked multi-worker acceptance lives in
- * test_distributed.
+ * fencing (stale takeover, fenced heartbeat/release/skip, takeover
+ * epochs in the store header), the in-run heartbeat paced by the
+ * coordinator's window, the disconnect-orphans-leases rule, record
+ * streaming (publish/fetch with validation), handshake rejection of
+ * incompatible workers, a record cut off mid-stream never reaching
+ * the store, and the RPC latency receipts. Forked multi-worker
+ * acceptance lives in test_distributed.
  */
 #include <chrono>
 #include <cstdio>
@@ -24,14 +25,13 @@
 #include "harness/coordinator.hpp"
 #include "harness/disk_cache.hpp"
 #include "harness/lease_net.hpp"
-#include "harness/lease_provider.hpp"
 #include "harness/store_format.hpp"
 #include "workload/app_catalog.hpp"
 
 namespace ebm {
 namespace {
 
-using State = LeaseProvider::State;
+using State = NetLeaseProvider::State;
 
 NetLeaseProvider::Options
 quickConnect()
@@ -70,7 +70,7 @@ class LeaseNetTest : public ::testing::Test
     /** Start a coordinator on an ephemeral port. */
     Coordinator &
     startCoordinator(std::chrono::milliseconds stale =
-                         std::chrono::milliseconds(0))
+                         Coordinator::kDefaultStaleThreshold)
     {
         Coordinator::Options opts;
         opts.staleThreshold = stale;
@@ -184,6 +184,86 @@ TEST_F(LeaseNetTest, StaleOwnerIsFencedAfterTakeover)
     // One fenced op on the wire: the failed heartbeat drops the
     // owner's epoch locally, so the release fails client-side.
     EXPECT_GE(stats.fencedOps, 1u);
+}
+
+TEST_F(LeaseNetTest, FencedOwnerCannotSkip)
+{
+    startCoordinator(std::chrono::milliseconds(100));
+    auto owner = connectWorker();
+    auto waiter = connectWorker();
+
+    ASSERT_TRUE(owner->tryAcquire("row"));
+    std::this_thread::sleep_for(std::chrono::milliseconds(150));
+    ASSERT_TRUE(waiter->breakStale("row"));
+
+    // The resumed stale owner exhausts its retries: its skip must not
+    // land on the row the new owner is computing.
+    EXPECT_FALSE(owner->markSkipped("row"));
+    EXPECT_EQ(waiter->peek("row"), State::Active)
+        << "a fenced owner must not skip the new owner's row";
+    EXPECT_EQ(coord_->stats().skipsMarked, 0u);
+    EXPECT_TRUE(waiter->release("row"));
+}
+
+TEST_F(LeaseNetTest, TakeoverEpochReachesTheStoreHeader)
+{
+    // A takeover (epoch 2) is stamped into the coordinator store's
+    // header by the next append; compaction re-canonicalizes to 0.
+    startCoordinator(std::chrono::milliseconds(50));
+    auto dead = connectWorker();
+    auto taker = connectWorker();
+    ASSERT_TRUE(dead->tryAcquire("row"));
+    std::this_thread::sleep_for(std::chrono::milliseconds(80));
+    ASSERT_TRUE(taker->breakStale("row"));
+    EXPECT_EQ(taker->ownedEpoch("row"), 2u);
+    ASSERT_TRUE(taker->publish("row", {1.0}));
+    EXPECT_TRUE(taker->release("row"));
+    coord_.reset();
+    cache_.reset();
+
+    {
+        DiskCache reopened(path_);
+        EXPECT_EQ(reopened.loadReport().fencingEpoch, 2u);
+        ASSERT_TRUE(reopened.compact());
+    }
+    DiskCache compacted(path_);
+    EXPECT_EQ(compacted.loadReport().fencingEpoch, 0u);
+    EXPECT_EQ(compacted.get("row"), std::vector<double>{1.0});
+}
+
+// ---------------------------------------------------------------------
+// In-run heartbeat: a row longer than the staleness window must not
+// look abandoned, at whatever window the coordinator runs.
+// ---------------------------------------------------------------------
+
+TEST_F(LeaseNetTest, HeartbeaterKeepsLongLeaseFreshAtTinyWindow)
+{
+    // Only the coordinator knows the 200 ms window; the heartbeater
+    // learns it from HELLO.
+    startCoordinator(std::chrono::milliseconds(200));
+    auto owner = connectWorker();
+    auto peer = connectWorker();
+    ASSERT_TRUE(owner->tryAcquire("long-row"));
+    EXPECT_EQ(owner->heartbeatInterval(), std::chrono::milliseconds(50));
+    {
+        // The heartbeater spans a "run" three windows long; the peer
+        // polls throughout and must never see the lease go stale.
+        LeaseHeartbeater beat(owner.get(), "long-row");
+        const auto until = std::chrono::steady_clock::now() +
+                           std::chrono::milliseconds(650);
+        while (std::chrono::steady_clock::now() < until) {
+            EXPECT_NE(peer->peek("long-row"), State::Stale)
+                << "in-run heartbeat lost the lease mid-row";
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+        EXPECT_FALSE(beat.fenced());
+    }
+
+    // Control: with the heartbeater gone, the same silence makes the
+    // lease stale — proving the poll above was a real observation.
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    EXPECT_EQ(peer->peek("long-row"), State::Stale);
+    EXPECT_TRUE(owner->release("long-row"));
 }
 
 TEST_F(LeaseNetTest, DisconnectOrphansLeasesImmediately)
@@ -351,10 +431,10 @@ TEST_F(LeaseNetTest, MakeLeaseProviderSelectsNetMode)
 {
     startCoordinator();
     ::setenv("EBM_COORDINATOR", coord_->address().c_str(), 1);
-    auto lease = makeLeaseProvider(*cache_);
+    auto lease = makeLeaseProvider();
     ::unsetenv("EBM_COORDINATOR");
     ASSERT_NE(lease, nullptr);
-    EXPECT_STREQ(lease->kind(), "net");
+    EXPECT_FALSE(lease->degraded());
     EXPECT_TRUE(lease->tryAcquire("row"));
     EXPECT_TRUE(lease->release("row"));
 }
@@ -367,7 +447,7 @@ TEST_F(LeaseNetTest, UnreachableCoordinatorDegradesToNull)
     ::setenv("EBM_COORDINATOR", "127.0.0.1:1", 1);
     ::setenv("EBM_NET_CONNECT_ATTEMPTS", "2", 1);
     ::setenv("EBM_NET_CONNECT_BACKOFF_MS", "10", 1);
-    auto lease = makeLeaseProvider(*cache_);
+    auto lease = makeLeaseProvider();
     ::unsetenv("EBM_COORDINATOR");
     ::unsetenv("EBM_NET_CONNECT_ATTEMPTS");
     ::unsetenv("EBM_NET_CONNECT_BACKOFF_MS");

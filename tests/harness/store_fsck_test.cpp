@@ -9,19 +9,16 @@
  */
 #include <unistd.h>
 
-#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "harness/disk_cache.hpp"
-#include "harness/shard_claim.hpp"
 #include "harness/store_fsck.hpp"
 #include "harness/store_format.hpp"
 #include "workload/app_catalog.hpp"
@@ -230,40 +227,6 @@ TEST_F(StoreFsckTest, RepairZeroesTheFencingEpoch)
     EXPECT_TRUE(report.repaired);
     EXPECT_EQ(storefmt::parseHeader(slurp(path_).data()).fencingEpoch,
               0u);
-}
-
-TEST_F(StoreFsckTest, RepairSweepsOrphanedEpochSidecars)
-{
-    const std::string claims_dir = path_ + ".claims";
-    {
-        DiskCache cache(path_);
-        cache.put("row", {1.0});
-        cache.sync();
-    }
-    {
-        // A finished sharded row leaves its epoch counter orphaned.
-        ShardClaims claims(path_);
-        ASSERT_TRUE(claims.tryAcquire("row"));
-        ASSERT_TRUE(claims.release("row"));
-    }
-
-    // Scrub-only never touches sidecars, even stale ones.
-    ::setenv("EBM_CLAIM_STALE_MS", "1", 1);
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    const FsckReport scrub = fsckStore(path_);
-    EXPECT_EQ(scrub.orphanedEpochsRemoved, 0u);
-
-    // Repair sweeps them and reports the count in the summary.
-    FsckOptions options;
-    options.repair = true;
-    const FsckReport report = fsckStore(path_, options);
-    ::unsetenv("EBM_CLAIM_STALE_MS");
-    EXPECT_EQ(report.verdict, FsckReport::Verdict::Clean);
-    EXPECT_EQ(report.orphanedEpochsRemoved, 1u);
-    EXPECT_NE(report.summaryLine().find("epoch sidecar"),
-              std::string::npos);
-
-    ::rmdir(claims_dir.c_str()); // Empty once the sidecar is swept.
 }
 
 } // namespace
